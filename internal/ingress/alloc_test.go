@@ -6,6 +6,7 @@ import (
 
 	"delayfree/internal/capsule"
 	"delayfree/internal/ingress"
+	"delayfree/internal/pmap"
 	"delayfree/internal/pmem"
 	"delayfree/internal/pqueue"
 	"delayfree/internal/proc"
@@ -119,5 +120,95 @@ func TestCombinerDrainApplyZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("combiner drain+apply allocates %v objects/batch, want 0", avg)
+	}
+}
+
+// TestGroupCombinerZeroAlloc pins the group combiner's loop: a batch
+// drained, applied as a deferred map batch, held, then released by an
+// idle-loop window close — by a waiting producer for a tokened batch,
+// at finish for a fire-and-forget one — with zero Go allocations per
+// batch once the held list and the applier are warm.
+func TestGroupCombinerZeroAlloc(t *testing.T) {
+	const (
+		buckets = 64
+		window  = 64
+		batch   = 8
+	)
+	for _, tokened := range []bool{true, false} {
+		name := "finish"
+		if tokened {
+			name = "waiter"
+		}
+		t.Run(name, func(t *testing.T) {
+			words := pmap.BatchWords(buckets, 1, 1, 1, 0, window) + capsule.ProcWords + 1<<13
+			mem := pmem.New(pmem.Config{Words: words, Mode: pmem.Private})
+			rt := proc.NewRuntime(mem, 1)
+			m := pmap.New(pmap.Config{Mem: mem, P: 1, Buckets: buckets, Shards: 1, Opt: true, Durable: true,
+				BatchCombiners: 1, BatchWindow: window})
+			m.Init(mem.NewPort(), nil)
+			m.Bind(rt)
+			ba := pmap.NewBatchApplier(m)
+
+			pool := ingress.NewPool(1, 32, batch, 1)
+			pool.MarkDone(0)
+			reg := capsule.NewRegistry()
+			bases := capsule.AllocProcAreas(mem, 1)
+			ops := make([]pmap.BatchOp, batch)
+			comb := ingress.RegisterGroupCombiner(reg, "alloc-group", pool, 0,
+				func(c *capsule.Ctx, b []ingress.Record) bool {
+					for i := range b {
+						ops[i] = pmap.BatchOp{K: b[i].A, V: b[i].B}
+					}
+					if !ba.Apply(c, ops[:len(b)]) {
+						panic("alloc: map batch rejected")
+					}
+					return ba.Deferred(c.P().ID())
+				},
+				func(c *capsule.Ctx) { ba.Close(c.P().ID()) })
+			capsule.Install(rt.Proc(0).Mem(), bases[0], reg, comb)
+
+			recs := make([]ingress.Record, batch)
+			for i := range recs {
+				recs[i] = ingress.Record{Op: ingress.OpPut, A: uint64(i) + 1}
+				if tokened {
+					recs[i].Done = new(atomic.Uint64)
+				}
+			}
+			ring := pool.Shard(0).Ring
+			runs := uint64(0)
+			var avg float64
+			rt.RunToCompletion(func(int) proc.Program {
+				return func(p *proc.Proc) {
+					mach := capsule.NewMachine(p, reg, bases[0])
+					runOnce := func() {
+						runs++
+						for i := range recs {
+							recs[i].B, recs[i].Token = runs, runs
+							ring.Publish(recs[i], nil)
+						}
+						// One Invoke = drain, apply deferred, hold, close
+						// from the idle loop, then the ring-empty exit.
+						mach.Invoke(comb, 0)
+					}
+					runOnce() // warm the held list, probe cache and batcher
+					avg = testing.AllocsPerRun(40, runOnce)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("group combiner loop allocates %v objects/batch, want 0", avg)
+			}
+			want := ingress.CloseCounts{Finish: runs}
+			if tokened {
+				want = ingress.CloseCounts{Waiter: runs}
+			}
+			if got := pool.Shard(0).Closes; got != want {
+				t.Fatalf("closes %+v over %d batches, want %+v", got, runs, want)
+			}
+			for i := range recs {
+				if tokened && recs[i].Done.Load() != runs {
+					t.Fatalf("record %d: last token %d never released", i, runs)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package ingress_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"delayfree/internal/capsule"
@@ -30,6 +31,11 @@ import (
 //
 // Both memory models run: Private (independent crashes) and Shared
 // (the paper's "all processors fail together" model).
+//
+// The map batch rides a deferred group-commit window, which the group
+// combiner closes from its idle loop after the batch. Each close cause
+// gets its own sweep, so every instrumented step of each trigger path —
+// the idle grace, a waiting producer, every producer done — is swept.
 
 const sweepBatch = 5
 
@@ -53,6 +59,10 @@ type sweepRig struct {
 	// step-exact cumulative-durability floor is pinned by the wcas
 	// milestone sweep (wcas.TestBatchCommitCrashSweep).
 	subset bool
+	// shard is the rig's ingress shard; a clean run must leave exactly
+	// wantCloses in its close counters.
+	shard      *ingress.Shard
+	wantCloses ingress.CloseCounts
 }
 
 func (r *sweepRig) crashed() bool { return r.rt.Proc(0).Restarts() > 0 }
@@ -60,15 +70,42 @@ func (r *sweepRig) crashed() bool { return r.rt.Proc(0).Restarts() > 0 }
 // combinerRig wires the shared skeleton: a pool with one shard, the
 // batch pre-published from the host (host atomics, zero instrumented
 // steps), one combiner proc. apply is the family's batch applier.
-func combinerRig(mem *pmem.Memory, rt *proc.Runtime, apply func(c *capsule.Ctx, batch []ingress.Record), recs []ingress.Record) func() {
+func combinerRig(mem *pmem.Memory, rt *proc.Runtime, apply func(c *capsule.Ctx, batch []ingress.Record), recs []ingress.Record) (func(), *ingress.Shard) {
 	pool := ingress.NewPool(1, 16, sweepBatch, 1)
-	for _, rec := range recs {
-		pool.Shard(0).Ring.Publish(rec, nil)
-	}
 	pool.MarkDone(0)
 	reg := capsule.NewRegistry()
-	bases := capsule.AllocProcAreas(mem, 1)
 	comb := ingress.RegisterCombiner(reg, "sweep-comb", pool, 0, apply)
+	return runCombiner(mem, rt, pool, reg, comb, recs)
+}
+
+// groupRig is combinerRig for group-commit appliers: the combiner holds
+// completions until the applier's window closes (here in the idle span
+// after the single batch). With straggler set, a second producer stays
+// live until that close — so a batch without waiters waits out the idle
+// grace rather than closing at finish — and is marked done by the close.
+func groupRig(mem *pmem.Memory, rt *proc.Runtime, apply ingress.GroupApply, closeWin func(c *capsule.Ctx), recs []ingress.Record, straggler bool) (func(), *ingress.Shard) {
+	pool := ingress.NewPool(1, 16, sweepBatch, 2)
+	pool.MarkDone(0)
+	if !straggler {
+		pool.MarkDone(1)
+	}
+	reg := capsule.NewRegistry()
+	comb := ingress.RegisterGroupCombiner(reg, "sweep-comb", pool, 0, apply, func(c *capsule.Ctx) {
+		closeWin(c)
+		pool.MarkDone(1)
+	})
+	return runCombiner(mem, rt, pool, reg, comb, recs)
+}
+
+// runCombiner pre-publishes recs into shard 0 and installs comb on the
+// single proc; the returned run executes it to completion or first
+// crash.
+func runCombiner(mem *pmem.Memory, rt *proc.Runtime, pool *ingress.Pool, reg *capsule.Registry, comb capsule.RoutineID, recs []ingress.Record) (func(), *ingress.Shard) {
+	sh := pool.Shard(0)
+	for _, rec := range recs {
+		sh.Ring.Publish(rec, nil)
+	}
+	bases := capsule.AllocProcAreas(mem, 1)
 	capsule.Install(rt.Proc(0).Mem(), bases[0], reg, comb)
 	return func() {
 		rt.RunToCompletion(func(int) proc.Program {
@@ -80,33 +117,7 @@ func combinerRig(mem *pmem.Memory, rt *proc.Runtime, apply func(c *capsule.Ctx, 
 			}
 		})
 		rt.Proc(0).Disarm()
-	}
-}
-
-// groupRig is combinerRig for group-commit appliers: the combiner holds
-// completions until the applier's window closes (here at the idle
-// boundary after the single batch).
-func groupRig(mem *pmem.Memory, rt *proc.Runtime, apply ingress.GroupApply, closeWin func(c *capsule.Ctx), recs []ingress.Record) func() {
-	pool := ingress.NewPool(1, 16, sweepBatch, 1)
-	for _, rec := range recs {
-		pool.Shard(0).Ring.Publish(rec, nil)
-	}
-	pool.MarkDone(0)
-	reg := capsule.NewRegistry()
-	bases := capsule.AllocProcAreas(mem, 1)
-	comb := ingress.RegisterGroupCombiner(reg, "sweep-comb", pool, 0, apply, closeWin)
-	capsule.Install(rt.Proc(0).Mem(), bases[0], reg, comb)
-	return func() {
-		rt.RunToCompletion(func(int) proc.Program {
-			return func(p *proc.Proc) {
-				if p.PeekCrashed() {
-					return
-				}
-				capsule.NewMachine(p, reg, bases[0]).Run()
-			}
-		})
-		rt.Proc(0).Disarm()
-	}
+	}, sh
 }
 
 // chainApplied checks the all-or-nothing contract shared by the queue
@@ -158,13 +169,13 @@ func queueRig(mode pmem.Mode) *sweepRig {
 		recs[i] = ingress.Record{Op: ingress.OpEnqueue, A: sweepVal(i)}
 	}
 	vals := make([]uint64, sweepBatch)
-	run := combinerRig(mem, rt, func(c *capsule.Ctx, batch []ingress.Record) {
+	run, sh := combinerRig(mem, rt, func(c *capsule.Ctx, batch []ingress.Record) {
 		for i := range batch {
 			vals[i] = batch[i].A
 		}
 		enqueue(c, vals[:len(batch)])
 	}, recs)
-	return &sweepRig{rt: rt, run: run, applied: func(t *testing.T) int {
+	return &sweepRig{rt: rt, run: run, shard: sh, applied: func(t *testing.T) int {
 		want := make([]uint64, sweepBatch)
 		for i := range want {
 			want[i] = sweepVal(i) // FIFO drain: publish order
@@ -196,13 +207,13 @@ func stackRig(mode pmem.Mode) *sweepRig {
 		recs[i] = ingress.Record{Op: ingress.OpPush, A: sweepVal(i)}
 	}
 	vals := make([]uint64, sweepBatch)
-	run := combinerRig(mem, rt, func(c *capsule.Ctx, batch []ingress.Record) {
+	run, sh := combinerRig(mem, rt, func(c *capsule.Ctx, batch []ingress.Record) {
 		for i := range batch {
 			vals[i] = batch[i].A
 		}
 		push(c, vals[:len(batch)])
 	}, recs)
-	return &sweepRig{rt: rt, run: run, applied: func(t *testing.T) int {
+	return &sweepRig{rt: rt, run: run, shard: sh, applied: func(t *testing.T) int {
 		want := make([]uint64, sweepBatch)
 		for i := range want {
 			want[i] = sweepVal(sweepBatch - 1 - i) // LIFO drain: top (last pushed) first
@@ -211,60 +222,80 @@ func stackRig(mode pmem.Mode) *sweepRig {
 	}}
 }
 
-func mapRig(mode pmem.Mode) *sweepRig {
-	const buckets = 16
-	// Window larger than the batch: the close fence lands in the idle
-	// span after apply, so the sweep crosses the fully deferred region
-	// (installs fenced, swings unfenced) before the close.
-	const window = 8
-	words := pmap.BatchWords(buckets, 1, 1, 1, 0, window) + capsule.ProcWords + 1<<13
-	mem := pmem.New(pmem.Config{Words: words, Mode: mode, Checked: true, Seed: 7})
-	rt := proc.NewRuntime(mem, 1)
-	rt.SystemCrashMode = mode == pmem.Shared
-	m := pmap.New(pmap.Config{Mem: mem, P: 1, Buckets: buckets, Shards: 1, Opt: true, Durable: true,
-		BatchCombiners: 1, BatchWindow: window})
-	setup := mem.NewPort()
-	m.Init(setup, nil)
-	m.Bind(rt)
-	ba := pmap.NewBatchApplier(m)
-	recs := make([]ingress.Record, sweepBatch)
-	for i := range recs {
-		recs[i] = ingress.Record{Op: ingress.OpPut, A: sweepKey(i), B: sweepVal(i)}
-	}
-	ops := make([]pmap.BatchOp, sweepBatch)
-	rig := &sweepRig{rt: rt, subset: true}
-	rig.run = groupRig(mem, rt, func(c *capsule.Ctx, batch []ingress.Record) bool {
-		for i := range batch {
-			ops[i] = pmap.BatchOp{Del: batch[i].Op == ingress.OpDelete, K: batch[i].A, V: batch[i].B}
+// mapRig builds the map sweep whose window closes by the given cause:
+// CloseCounts.Grace (fire-and-forget records, a straggling producer),
+// Waiter (every record carries a completion token) or Finish
+// (fire-and-forget records, every producer done).
+func mapRig(want ingress.CloseCounts) func(pmem.Mode) *sweepRig {
+	return func(mode pmem.Mode) *sweepRig {
+		const buckets = 16
+		// Window larger than the batch: the close fence lands in the idle
+		// span after apply, so the sweep crosses the fully deferred region
+		// (installs fenced, swings unfenced) before the close.
+		const window = 8
+		words := pmap.BatchWords(buckets, 1, 1, 1, 0, window) + capsule.ProcWords + 1<<13
+		mem := pmem.New(pmem.Config{Words: words, Mode: mode, Checked: true, Seed: 7})
+		rt := proc.NewRuntime(mem, 1)
+		rt.SystemCrashMode = mode == pmem.Shared
+		m := pmap.New(pmap.Config{Mem: mem, P: 1, Buckets: buckets, Shards: 1, Opt: true, Durable: true,
+			BatchCombiners: 1, BatchWindow: window})
+		setup := mem.NewPort()
+		m.Init(setup, nil)
+		m.Bind(rt)
+		ba := pmap.NewBatchApplier(m)
+		recs := make([]ingress.Record, sweepBatch)
+		for i := range recs {
+			recs[i] = ingress.Record{Op: ingress.OpPut, A: sweepKey(i), B: sweepVal(i)}
+			if want.Waiter > 0 {
+				recs[i].Token, recs[i].Done = uint64(i)+1, new(atomic.Uint64)
+			}
 		}
-		if !ba.Apply(c, ops[:len(batch)]) {
-			panic("sweep: map batch rejected")
-		}
-		return ba.Deferred(c.P().ID())
-	}, func(c *capsule.Ctx) { ba.Close(c.P().ID()) }, recs)
-	rig.applied = func(t *testing.T) int {
-		t.Helper()
-		if rig.crashed() {
-			m.Recover(setup) // the real driver recovers wcas pools before any post-crash read
-		}
-		dump := m.Dump(setup)
-		for k, v := range dump {
-			found := false
-			for i := 0; i < sweepBatch; i++ {
-				if sweepKey(i) == k {
-					found = true
-					if v != sweepVal(i) {
-						t.Fatalf("key %#x holds torn value %#x, want %#x", k, v, sweepVal(i))
+		ops := make([]pmap.BatchOp, sweepBatch)
+		rig := &sweepRig{rt: rt, subset: true, wantCloses: want}
+		rig.run, rig.shard = groupRig(mem, rt, func(c *capsule.Ctx, batch []ingress.Record) bool {
+			for i := range batch {
+				ops[i] = pmap.BatchOp{Del: batch[i].Op == ingress.OpDelete, K: batch[i].A, V: batch[i].B}
+			}
+			if !ba.Apply(c, ops[:len(batch)]) {
+				panic("sweep: map batch rejected")
+			}
+			return ba.Deferred(c.P().ID())
+		}, func(c *capsule.Ctx) { ba.Close(c.P().ID()) }, recs, want.Grace > 0)
+		rig.applied = func(t *testing.T) int {
+			t.Helper()
+			if rig.crashed() {
+				m.Recover(setup) // the real driver recovers wcas pools before any post-crash read
+			}
+			dump := m.Dump(setup)
+			for k, v := range dump {
+				found := false
+				for i := 0; i < sweepBatch; i++ {
+					if sweepKey(i) == k {
+						found = true
+						if v != sweepVal(i) {
+							t.Fatalf("key %#x holds torn value %#x, want %#x", k, v, sweepVal(i))
+						}
 					}
 				}
+				if !found {
+					t.Fatalf("alien key %#x = %#x in recovered map", k, v)
+				}
 			}
-			if !found {
-				t.Fatalf("alien key %#x = %#x in recovered map", k, v)
+			// A released token promises durability: its write must
+			// have survived whatever crash followed the release.
+			for i, r := range recs {
+				if r.Done == nil || r.Done.Load() != r.Token {
+					continue
+				}
+				if v, ok := dump[sweepKey(i)]; !ok || v != sweepVal(i) {
+					t.Fatalf("token %d observed but key %#x holds %#x (present %v) after the crash",
+						r.Token, sweepKey(i), v, ok)
+				}
 			}
+			return len(dump)
 		}
-		return len(dump)
+		return rig
 	}
-	return rig
 }
 
 func runCrashSweep(t *testing.T, mk func(pmem.Mode) *sweepRig) {
@@ -285,6 +316,9 @@ func runCrashSweep(t *testing.T, mk func(pmem.Mode) *sweepRig) {
 			}
 			if got := rig.applied(t); got != sweepBatch {
 				t.Fatalf("clean run applied %d of %d operations", got, sweepBatch)
+			}
+			if rig.shard.Closes != rig.wantCloses {
+				t.Fatalf("clean run closed %+v, want %+v", rig.shard.Closes, rig.wantCloses)
 			}
 			stride := int64(1)
 			if testing.Short() {
@@ -324,4 +358,12 @@ func runCrashSweep(t *testing.T, mk func(pmem.Mode) *sweepRig) {
 
 func TestCombinerCrashSweepQueue(t *testing.T) { runCrashSweep(t, queueRig) }
 func TestCombinerCrashSweepStack(t *testing.T) { runCrashSweep(t, stackRig) }
-func TestCombinerCrashSweepMap(t *testing.T)   { runCrashSweep(t, mapRig) }
+func TestCombinerCrashSweepMap(t *testing.T) {
+	runCrashSweep(t, mapRig(ingress.CloseCounts{Grace: 1}))
+}
+func TestCombinerCrashSweepMapTokened(t *testing.T) {
+	runCrashSweep(t, mapRig(ingress.CloseCounts{Waiter: 1}))
+}
+func TestCombinerCrashSweepMapFinish(t *testing.T) {
+	runCrashSweep(t, mapRig(ingress.CloseCounts{Finish: 1}))
+}

@@ -77,11 +77,11 @@ type cell struct {
 // exactly one goroutine may call Drain/Empty. Reset is stopped-world
 // only.
 type Ring struct {
-	cells []cell
-	mask  uint64
-	_     [48]byte // keep the hot tickets off the cells' lines
-	tail  atomic.Uint64
-	_     [56]byte
+	cells   []cell
+	mask    uint64
+	_       [48]byte // keep the hot tickets off the cells' lines
+	tail    atomic.Uint64
+	_       [56]byte
 	headPub atomic.Uint64
 	head    uint64 // consumer-private
 }
@@ -197,7 +197,11 @@ func (r *Ring) Reset() {
 type Shard struct {
 	Ring  *Ring
 	Epoch atomic.Uint64
-	buf   []Record
+	// Closes counts the shard's group-commit window closes by cause.
+	// Only the shard's combiner writes it; read it once the combiner
+	// has stopped.
+	Closes CloseCounts
+	buf    []Record
 }
 
 // Pool is the front-end handed to producers and combiners: the shard
@@ -270,35 +274,43 @@ func (pl *Pool) Reset() {
 // applier's commit or are lost with the ring, never re-executed.
 //
 // The combiner finishes when every producer is done and its ring has
-// drained empty.
+// drained empty. It is the group combiner with an applier that never
+// defers: nothing is ever held, so no window close is ever needed.
 func RegisterCombiner(reg *capsule.Registry, name string, pool *Pool, shard int,
 	apply func(c *capsule.Ctx, batch []Record)) capsule.RoutineID {
-	sh := pool.shards[shard]
-	return reg.Register(name, true, func(c *capsule.Ctx) {
-		var batch []Record
-		for {
-			if n := sh.Ring.Drain(sh.buf); n > 0 {
-				batch = sh.buf[:n]
-				break
-			}
-			if pool.AllDone() && sh.Ring.Empty() {
-				c.Finish()
-				return
-			}
-			// Instrumented idle step: crash injection and step-gap
-			// accounting see the combiner even while it waits.
-			c.P().Step()
-			runtime.Gosched()
-		}
+	return RegisterGroupCombiner(reg, name, pool, shard, func(c *capsule.Ctx, batch []Record) bool {
 		apply(c, batch)
-		c.Mem().NoteBatch(uint64(len(batch)))
-		for i := range batch {
-			if batch[i].Done != nil {
-				batch[i].Done.Store(batch[i].Token)
-			}
-		}
-		c.Boundary(0)
-	})
+		return false
+	}, nil)
+}
+
+// groupIdleGrace is how many consecutive empty ring polls a group
+// combiner tolerates, while it holds only fire-and-forget records,
+// before it treats the ring as genuinely idle and closes the deferral
+// window. A momentary gap between producer publishes must not trigger a
+// close — every premature close fence is a full Ptr-persist pass, and
+// closing once per batch collapses the window to the batch size,
+// forfeiting the amortization the group tier exists for. Each poll is
+// an instrumented Step, so the grace bounds the extra close latency
+// (and the crash-gap budget it consumes) by the same count.
+const groupIdleGrace = 128
+
+// CloseCounts splits the window closes a group combiner issues from
+// its idle loop by cause; closes the applier performs inside apply
+// (full window, recycle-guard mini-fence) are the family's own and are
+// not counted. Each cause is a reason no record can be worth waiting
+// for once the ring is dry:
+type CloseCounts struct {
+	// Waiter: a held record carries a completion slot. Its producer
+	// waits on that token, or soon will: a closed-loop producer cannot
+	// publish past its in-flight bound before acks come back, so the
+	// grace would mostly delay its ack.
+	Waiter uint64
+	// Finish: every producer is done; nothing more can arrive.
+	Finish uint64
+	// Grace: only fire-and-forget records are held and the ring stayed
+	// empty for groupIdleGrace polls.
+	Grace uint64
 }
 
 // GroupApply applies a batch whose durability may be deferred past the
@@ -311,10 +323,11 @@ type GroupApply func(c *capsule.Ctx, batch []Record) (deferred bool)
 // (the wcas batch tier): completion tokens are held back while the
 // applier's deferral window is open, and released only after a close —
 // either the applier's own auto-close (apply returns false), or the
-// closeWin hook this combiner runs when its ring idles or finishes
-// while completions are pending. A producer that observes its token
-// therefore still knows its operation is durable, even though the
-// window amortizes one Ptr-persist fence over many batches.
+// closeWin hook this combiner runs when its ring runs dry while
+// completions are pending (see CloseCounts for when). A producer that
+// observes its token therefore still knows its operation is durable,
+// even though the window amortizes one Ptr-persist fence over many
+// batches.
 //
 // Crash interactions: a full-system crash advances the shard epoch
 // (Pool.Reset); the held-back records are dropped with it — their
@@ -325,24 +338,9 @@ type GroupApply func(c *capsule.Ctx, batch []Record) (deferred bool)
 // the next close exactly as if the crash had not happened.
 func RegisterGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard int,
 	apply GroupApply, closeWin func(c *capsule.Ctx)) capsule.RoutineID {
-	return registerGroupCombiner(reg, name, pool, shard, apply, closeWin, groupIdleGrace)
-}
-
-// groupIdleGrace is how many consecutive empty ring polls a group
-// combiner tolerates before it treats the ring as genuinely idle and
-// closes the deferral window. A momentary gap between producer
-// publishes must not trigger a close — every premature close fence is
-// a full Ptr-persist pass, and closing once per batch collapses the
-// window to the batch size, forfeiting the amortization the group tier
-// exists for. Each poll is an instrumented Step, so the grace bounds
-// the extra ack latency (and the crash-gap budget it consumes) by the
-// same count.
-const groupIdleGrace = 128
-
-func registerGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard int,
-	apply GroupApply, closeWin func(c *capsule.Ctx), idleGrace int) capsule.RoutineID {
 	sh := pool.shards[shard]
 	var held []Record
+	waited := false // some held record has a completion slot (Done != nil)
 	var lastEpoch uint64
 	ack := func(recs []Record) {
 		for i := range recs {
@@ -353,7 +351,7 @@ func registerGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard
 	}
 	return reg.Register(name, true, func(c *capsule.Ctx) {
 		if e := sh.Epoch.Load(); e != lastEpoch {
-			held = held[:0]
+			held, waited = held[:0], false
 			lastEpoch = e
 		}
 		var batch []Record
@@ -364,16 +362,25 @@ func registerGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard
 				break
 			}
 			if len(held) > 0 {
-				// Deferred completions are pending: wait out the grace
-				// before closing, so a momentary publish gap does not
-				// cost a premature close fence — but do close once the
-				// ring stays dry, rather than leave producers waiting on
-				// a fence that would otherwise only come with more
-				// traffic.
-				if idle++; idle >= idleGrace {
+				// Deferred completions are pending and the ring is dry:
+				// close when no further record is worth waiting for,
+				// rather than leave producers waiting on a fence that
+				// would otherwise only come with more traffic.
+				var cause *uint64
+				idle++
+				switch {
+				case waited:
+					cause = &sh.Closes.Waiter
+				case pool.AllDone():
+					cause = &sh.Closes.Finish
+				case idle >= groupIdleGrace:
+					cause = &sh.Closes.Grace
+				}
+				if cause != nil {
 					closeWin(c)
 					ack(held)
-					held = held[:0]
+					held, waited = held[:0], false
+					*cause++
 					c.Boundary(0)
 					return
 				}
@@ -381,6 +388,8 @@ func registerGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard
 				c.Finish()
 				return
 			}
+			// Instrumented idle step: crash injection and step-gap
+			// accounting see the combiner even while it waits.
 			c.P().Step()
 			runtime.Gosched()
 		}
@@ -388,11 +397,14 @@ func registerGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard
 		c.Mem().NoteBatch(uint64(len(batch)))
 		if deferred {
 			held = append(held, batch...)
+			for i := range batch {
+				waited = waited || batch[i].Done != nil
+			}
 		} else {
 			// Everything applied so far is durable (the applier closed
 			// its window inside apply, or deferred nothing).
 			ack(held)
-			held = held[:0]
+			held, waited = held[:0], false
 			ack(batch)
 		}
 		c.Boundary(0)

@@ -132,7 +132,8 @@ func (p *Proc) hook() {
 	if p.rt.sysCrash.Load() {
 		panic(crashSignal{p.id})
 	}
-	if p.crashNow.CompareAndSwap(true, false) {
+	// Load first: an unarmed step must not pay a locked CAS.
+	if p.crashNow.Load() && p.crashNow.CompareAndSwap(true, false) {
 		panic(crashSignal{p.id})
 	}
 	if p.armed.Load() >= 0 && p.armed.Add(-1) == 0 {
