@@ -621,10 +621,27 @@ func (c *Ctx) Finish(vals ...uint64) {
 		m.carryDirty |= c.dirty
 		m.finished = true
 		m.finishedLight = true
-		m.rets = vals
+		m.setRets(vals)
 		return
 	}
 	c.Boundary(PCDone)
 	m.finished = true
-	m.rets = vals
+	m.setRets(vals)
+}
+
+// setRets records the depth-0 routine's results for Run or Invoke to
+// return. Up to MaxRet values are copied into the machine's fixed
+// buffer, so the caller's variadic slice does not escape and a
+// value-returning completion allocates nothing; the returned slice is
+// therefore only valid until the machine's next call.
+func (m *Machine) setRets(vals []uint64) {
+	if len(vals) == 0 {
+		m.rets = nil
+		return
+	}
+	if len(vals) > MaxRet {
+		m.rets = append([]uint64(nil), vals...)
+		return
+	}
+	m.rets = m.retBuf[:copy(m.retBuf[:], vals)]
 }

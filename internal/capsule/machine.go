@@ -80,6 +80,7 @@ type Machine struct {
 	crashedCap bool
 	finished   bool
 	rets       []uint64
+	retBuf     [MaxRet]uint64 // backs rets; see setRets
 
 	// light marks a light Invoke in progress: the final capsule's
 	// completion is volatile, its dirty slots carried into the next
@@ -210,7 +211,9 @@ func InstallIdle(port *pmem.Port, base pmem.Addr, reg *Registry, rid RoutineID) 
 
 // Run resumes execution from the persistent restart state and runs until
 // the depth-0 routine calls Finish. It returns the Finish values (nil if
-// resuming a program that had already finished before a crash).
+// resuming a program that had already finished before a crash). The
+// slice is the machine's own buffer: it is valid until the next Run or
+// Invoke on this machine, so copy out what must outlive that.
 func (m *Machine) Run() []uint64 {
 	m.crashedCap = m.p.Crashed()
 	m.reload()
@@ -322,11 +325,12 @@ func (m *Machine) routine(d int) *Routine { return m.reg.Routine(m.rid[d]) }
 
 // Invoke runs routine rid as a fresh depth-0 invocation starting at
 // capsule `entry` with the given arguments, and returns its Done/Finish
-// values. The frame reset is one boundary (a single flush+fence for
-// compact routines), mirroring the paper's benchmark methodology where
-// the surrounding program's own capsule boundary is not charged to the
-// queue operation. The process's sequence number (slot 0) is carried
-// across invocations.
+// values. The result is the machine's own buffer, valid until the next
+// Invoke or Run on this machine. The frame reset is one boundary (a
+// single flush+fence for compact routines), mirroring the paper's
+// benchmark methodology where the surrounding program's own capsule
+// boundary is not charged to the queue operation. The process's
+// sequence number (slot 0) is carried across invocations.
 //
 // Crash semantics: the reset commits like any boundary, so a restart
 // resumes the *operation* exactly; what is lost is only the volatile

@@ -287,6 +287,16 @@ func TestRecoveryStudy(t *testing.T) {
 		t.Fatalf("capsule recovery not O(1): %d -> %d",
 			pts[0].Steps["capsule+rcas"], pts[1].Steps["capsule+rcas"])
 	}
+	// Full-system map recovery reads the whole table once, but after the
+	// same fixed batch of writes it writes the same few status words at
+	// every table size: writes track the slots changed.
+	if pts[1].Steps["pmap reads"] < pts[0].Steps["pmap reads"]*10 {
+		t.Fatalf("pmap recovery reads do not scan the table: %d -> %d",
+			pts[0].Steps["pmap reads"], pts[1].Steps["pmap reads"])
+	}
+	if w0, w1 := pts[0].Steps["pmap writes"], pts[1].Steps["pmap writes"]; w0 == 0 || w1 > w0*2+16 {
+		t.Fatalf("pmap recovery writes do not track the slots changed: %d -> %d", w0, w1)
+	}
 	var buf bytes.Buffer
 	workload.PrintRecovery(&buf, pts)
 	if !strings.Contains(buf.String(), "recovery latency") {

@@ -3,6 +3,7 @@ package harness
 import (
 	"delayfree/internal/capsule"
 	"delayfree/internal/logqueue"
+	"delayfree/internal/pmap"
 	"delayfree/internal/pmem"
 	"delayfree/internal/pqueue"
 	"delayfree/internal/proc"
@@ -19,6 +20,12 @@ import (
 // using the Attiya CAS. Registered as workload.RecoveryProbes; the
 // study itself (workload.RecoveryStudy) iterates whatever is
 // registered.
+//
+// The pmap probes measure the other kind of recovery: the full-system
+// Map.Recover that rebuilds the writable-CAS slot pools. It reads every
+// Ptr, status and announcement word once, so its reads grow with the
+// table; it writes only the status words whose value changed, so its
+// writes track the slots the last epoch moved, not the table size.
 
 func init() {
 	workload.RegisterRecoveryProbe(workload.RecoveryProbe{
@@ -27,6 +34,53 @@ func init() {
 	workload.RegisterRecoveryProbe(workload.RecoveryProbe{
 		Name: "capsule+rcas", Steps: capsuleRecoverySteps,
 	})
+	workload.RegisterRecoveryProbe(workload.RecoveryProbe{
+		Name: "pmap reads", Steps: func(n uint32) uint64 { return mapRecoveryStats(n).Reads },
+	})
+	workload.RegisterRecoveryProbe(workload.RecoveryProbe{
+		Name: "pmap writes", Steps: func(n uint32) uint64 { return mapRecoveryStats(n).Writes },
+	})
+}
+
+// mapRecoveryStats builds a two-process map of n buckets (at least 8)
+// with the group-commit tier, recovers it once — the steady state after
+// any earlier crash — applies a fixed batch of mapRecoveryPuts puts over
+// four keys, crashes the whole system, and returns the memory
+// operations of the Map.Recover that follows.
+func mapRecoveryStats(n uint32) pmem.Stats {
+	const P, window, mapRecoveryPuts = 2, 64, 64
+	buckets := max(int(n), 8)
+	mem := pmem.New(pmem.Config{
+		Words:   pmap.BatchWords(buckets, 1, P, 1, 0, window) + P*capsule.ProcWords + 1<<13,
+		Mode:    pmem.Private,
+		Checked: true,
+	})
+	rt := proc.NewRuntime(mem, P)
+	m := pmap.New(pmap.Config{Mem: mem, P: P, Buckets: buckets, Opt: true,
+		BatchCombiners: 1, BatchWindow: window})
+	m.Init(mem.NewPort(), nil)
+	m.Bind(rt)
+	reg := capsule.NewRegistry()
+	m.Register(reg)
+	ba := pmap.NewBatchApplier(m)
+	var ops []pmap.BatchOp
+	for i := uint64(0); i < mapRecoveryPuts; i++ {
+		ops = append(ops, pmap.BatchOp{K: 1 + i%4, V: i})
+	}
+	rid := reg.Register("recovery-probe-batch", true, func(c *capsule.Ctx) {
+		ba.Apply(c, ops)
+		c.Done()
+	})
+	bases := capsule.AllocProcAreas(mem, P)
+	port := rt.Proc(0).Mem()
+	capsule.InstallIdle(port, bases[0], reg, rid)
+	m.Recover(port)
+	capsule.NewMachine(rt.Proc(0), reg, bases[0]).Invoke(rid, 0)
+	ba.Close(0)
+	rt.CrashSystem()
+	before := port.Stats
+	m.Recover(port)
+	return port.Stats.Sub(before)
 }
 
 // logQueueRecoverySteps seeds a LogQueue with n nodes, announces an

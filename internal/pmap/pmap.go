@@ -331,7 +331,11 @@ func (m *Map) Bind(rt *proc.Runtime) {
 // handles after a full-system crash. It must run exactly once per
 // crash, before any process resumes map operations, using the calling
 // process's port. An injected crash during Recover is safe: the next
-// restart simply runs it again.
+// restart simply runs it again. Its cost is one read pass over each
+// segment's Ptr, status and announcement words plus a write for each
+// word whose value changes; the BatchAppliers rebuilt after it seed
+// their Batchers from that Ptr pass (wcas.Array.NewBatcher) instead of
+// scanning Ptr again.
 func (m *Map) Recover(port *pmem.Port) {
 	for si, sg := range m.segs {
 		pools := sg.arr.Recover(port)

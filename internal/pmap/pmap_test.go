@@ -378,3 +378,19 @@ func TestPutCoalescesFlushes(t *testing.T) {
 		t.Fatalf("expected >= %d coalesced flushes, got %d", puts, coalesced)
 	}
 }
+
+// TestInvokeGetAllocs pins that a value-returning completion allocates
+// nothing: a Get's (ok, value) results are copied into the machine's
+// fixed result buffer rather than kept as the caller's variadic slice.
+func TestInvokeGetAllocs(t *testing.T) {
+	_, m, ms := fixture(t, Config{P: 1, Buckets: 32, Opt: true}, map[uint64]uint64{7: 700})
+	get(ms[0], m, 7) // warm up frame state
+	allocs := testing.AllocsPerRun(50, func() {
+		if v, ok := get(ms[0], m, 7); !ok || v != 700 {
+			t.Fatalf("get(7) = %d %v, want 700", v, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Get through Invoke allocates %.1f per op, want 0", allocs)
+	}
+}

@@ -264,3 +264,30 @@ func TestStressDriverDisabledRecorderAllocs(t *testing.T) {
 			withRec-twin, pairs, withRec, twin)
 	}
 }
+
+// TestInvokePopAllocs pins that a value-returning completion allocates
+// nothing: a pop's (ok, value) results are copied into the machine's
+// fixed result buffer rather than kept as the caller's variadic slice.
+func TestInvokePopAllocs(t *testing.T) {
+	e := newEnv(t, 1, pmem.Private, 1, true, false)
+	capsule.InstallIdle(e.rt.Proc(0).Mem(), e.bases[0], e.reg, e.s.Routine())
+	e.rt.RunToCompletion(func(int) proc.Program {
+		return func(p *proc.Proc) {
+			mach := capsule.NewMachine(p, e.reg, e.bases[0])
+			rid := e.s.Routine()
+			mach.Invoke(rid, e.s.PushEntry(), 1) // warm up flushBuf and frame state
+			mach.Invoke(rid, e.s.PopEntry())
+			v := uint64(0)
+			allocs := testing.AllocsPerRun(50, func() {
+				v++
+				mach.Invoke(rid, e.s.PushEntry(), v)
+				if r := mach.Invoke(rid, e.s.PopEntry()); r[0] == 0 || r[1] != v {
+					t.Fatalf("pop returned %v, want [1 %d]", r, v)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("push+pop through Invoke allocates %.1f per pair, want 0", allocs)
+			}
+		}
+	})
+}

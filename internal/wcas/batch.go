@@ -47,8 +47,9 @@ type batchEnt struct {
 // Handle, not safe for concurrent use. The Batcher's bookkeeping
 // (cursors, live counters, deferred lists) is volatile host state:
 // after a full-system crash, call Array.Recover and build a fresh
-// Batcher — NewBatcher rebuilds per-line liveness from the persistent
-// Ptr array with reads only, so it is safe to re-run under replay.
+// Batcher — NewBatcher seeds per-line liveness from the Ptr pass the
+// last Recover made, with no memory access, so it is safe to re-run
+// under replay.
 type Batcher struct {
 	h    *Handle
 	a    *Array
@@ -81,8 +82,24 @@ type Batcher struct {
 // window (maximum swings left unfenced; CommitBatch closes the window
 // automatically when it fills). Claims are host-side and sequential;
 // after a full-system crash Recover resets the claim cursor and every
-// combiner re-claims. Per-line liveness is rebuilt by scanning Ptr for
-// slots inside the claim — reads only, so replay-safe.
+// combiner re-claims.
+//
+// Per-line liveness comes from the counts the last Recover took (all
+// zero before any Recover: the initial image names no extent slot),
+// not from a fresh scan of Ptr. Soundness needs each count to be at
+// least the line's true live count when it is claimed: a low count lets
+// alloc bump-fill a line that still backs an object, leaving two durable
+// Ptr entries on one slot. The counts only err high. A slot of a
+// still-unclaimed line that was dead at Recover is in no pool, free
+// list, retired list or window — Recover pools classic slots only and
+// every volatile list died with the crash — and only a claim's
+// bump-fill can make it live, so it stays dead until its line is
+// claimed. A slot that was live at Recover is counted once, whatever
+// classic Writes or other Batchers do with it since (retire it, free
+// it, reinstall it). So a count can only be stale-high: a slot Recover
+// counted and a swing has since replaced. That just keeps the line out
+// of reuse, as a classic Write retiring a slot of a claimed line
+// already does.
 func (a *Array) NewBatcher(h *Handle, lines, window int) *Batcher {
 	if a.extLines == 0 {
 		panic("wcas: NewBatcher on an array built without an extent (use NewWithExtent)")
@@ -100,15 +117,12 @@ func (a *Array) NewBatcher(h *Handle, lines, window int) *Batcher {
 		cursor:  -1, fill: pmem.WordsPerLine,
 		window: window,
 	}
-	a.extClaim += lines
-	lo := uint32(a.extBase + b.firstLine*pmem.WordsPerLine)
-	hi := lo + uint32(lines*pmem.WordsPerLine)
-	for j := 0; j < a.M; j++ {
-		s := ptrSlot(h.port.Read(a.ptr + pmem.Addr(j)))
-		if s >= lo && s < hi {
-			b.liveCnt[int(s-lo)/pmem.WordsPerLine]++
+	if a.extLive != nil {
+		for ln := range b.liveCnt {
+			b.liveCnt[ln] = uint32(a.extLive[a.extClaim+ln])
 		}
 	}
+	a.extClaim += lines
 	return b
 }
 

@@ -79,6 +79,14 @@ type Array struct {
 	extLines int
 	extClaim int
 
+	// extLive counts, per extent line, the slots Ptr named at the last
+	// Recover (nil before the first: the initial image names no extent
+	// slot); NewBatcher seeds its per-line counts from it instead of
+	// re-reading Ptr. live is Recover's per-slot liveness bitmap. Both
+	// are kept so each recovery reuses their storage.
+	live    []uint64
+	extLive []uint8
+
 	// Durable enables the manual-flush protocol for the shared-cache
 	// model: a successful object CAS flushes the slot it wrote; a Write
 	// flushes the installed slot before the Ptr swing (the swing CAS
@@ -169,47 +177,70 @@ func (a *Array) Peek(port *pmem.Port, j int) uint64 {
 //
 // The persistent truth is the Ptr array: the M slots it names are live
 // (each backs exactly one object); every other slot is free. Recover
-// reassigns the free slots round-robin, resets the status words to
-// match, and idles the announcement array (no process survives, so no
-// hazards survive). It performs only reads of Ptr, so an injected crash
-// during recovery simply reruns it.
+// reads Ptr once, reassigns the free slots round-robin, settles the
+// status words to match, and idles the announcement array (no process
+// survives, so no hazards survive). Settling reads each status and
+// announcement word and writes only those whose value changes, so a
+// recovery rewrites just the words the last epoch moved and leaves the
+// next crash no dirty lines of its own; the reads stay instrumented
+// steps, so an injected crash can land anywhere in it. Every write is
+// a function of Ptr alone, so a crashed recovery simply reruns and
+// converges to the same image and the same pools. The liveness it
+// computes is kept for NewBatcher (see there).
 func (a *Array) Recover(port *pmem.Port) [][]uint32 {
-	live := make([]bool, a.slots)
+	if a.live == nil {
+		a.live = make([]uint64, (a.slots+63)/64)
+		a.extLive = make([]uint8, a.extLines)
+	} else {
+		clear(a.live)
+		clear(a.extLive)
+	}
 	for j := 0; j < a.M; j++ {
 		s := ptrSlot(port.Read(a.ptr + pmem.Addr(j)))
 		if int(s) >= a.slots {
 			panic(fmt.Sprintf("wcas: recover found Ptr[%d] naming slot %d out of %d", j, s, a.slots))
 		}
-		if live[s] {
+		if a.isLive(int(s)) {
 			panic(fmt.Sprintf("wcas: recover found slot %d backing two objects; was the array run without Durable in the shared model?", s))
 		}
-		live[s] = true
+		a.live[s/64] |= 1 << (s % 64)
+		if a.extLines > 0 && int(s) >= a.extBase {
+			a.extLive[(int(s)-a.extBase)/pmem.WordsPerLine]++
+		}
+	}
+	// Extent slots are never pooled: Batchers re-claim their lines.
+	pooled := a.slots
+	if a.extLines > 0 {
+		pooled = a.extBase
 	}
 	pools := make([][]uint32, a.P)
 	next := 0
 	for s := 0; s < a.slots; s++ {
-		if live[s] {
-			port.Write(a.status+pmem.Addr(s), 0) // unowned
-			continue
+		want := uint64(0) // live and extent slots are unowned
+		if s < pooled && !a.isLive(s) {
+			pools[next] = append(pools[next], uint32(s))
+			want = packStatus(next, false)
+			next = (next + 1) % a.P
 		}
-		if a.extLines > 0 && s >= a.extBase {
-			// Extent slots are never pooled: Batchers re-claim their
-			// lines (NewBatcher rebuilds per-line liveness from Ptr).
-			port.Write(a.status+pmem.Addr(s), 0)
-			continue
-		}
-		pools[next] = append(pools[next], uint32(s))
-		port.Write(a.status+pmem.Addr(s), packStatus(next, false))
-		next = (next + 1) % a.P
+		settle(port, a.status+pmem.Addr(s), want)
 	}
 	a.extClaim = 0
 	for p := 0; p < a.P; p++ {
 		if len(pools[p]) < 2 {
 			panic(fmt.Sprintf("wcas: recover left process %d with %d slots", p, len(pools[p])))
 		}
-		port.Write(a.annAddr(p), packAnn(0xFFFFFFFF, 0, false))
+		settle(port, a.annAddr(p), packAnn(0xFFFFFFFF, 0, false))
 	}
 	return pools
+}
+
+func (a *Array) isLive(s int) bool { return a.live[s/64]>>(s%64)&1 == 1 }
+
+// settle makes the word at addr hold w, writing only if it differs.
+func settle(port *pmem.Port, addr pmem.Addr, w uint64) {
+	if port.Read(addr) != w {
+		port.Write(addr, w)
+	}
 }
 
 // Handle is one process's access to the array, carrying its slot pool.
