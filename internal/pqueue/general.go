@@ -176,6 +176,12 @@ func (g *General) deqReadPhase(c *capsule.Ctx) {
 		c.Boundary(gdSwing)
 		return
 	}
+	if rcas.Val(nx) == 0 {
+		// Stale snapshot: h was freed and recycled after we read it
+		// (see Normalized.deqGenerate). Read again.
+		g.deqReadPhase(c)
+		return
+	}
 	v := p.Read(g.Arena.Val(uint32(rcas.Val(nx))))
 	c.SetLocal(gdH, h)
 	c.SetLocal(gdNx, nx)

@@ -170,6 +170,12 @@ func (n *Normalized) deqGenerate(c *capsule.Ctx) {
 			n.Space.CasAnon(p, n.tail, t, rcas.Val(nx), n.anonSeq(c), pid)
 			continue
 		}
+		if rcas.Val(nx) == 0 {
+			// h was dequeued, freed and recycled (its link reset) after
+			// we read it: the snapshot is stale, so read again. Any
+			// other stale nx is harmless, as the head CAS rejects it.
+			continue
+		}
 		v := p.Read(n.Arena.Val(uint32(rcas.Val(nx))))
 		c.SetLocal(ndH, h)
 		c.SetLocal(ndNx, nx)

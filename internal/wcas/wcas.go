@@ -437,10 +437,15 @@ func (h *Handle) recycle(old uint32) uint32 {
 			}
 			w = p.Read(aj)
 			idx := annIndex(w)
-			if !annHelp(w) && idx < uint32(a.slots) {
+			// Only slots on our retired list need the hazard mark, and
+			// only we touch their status words. The owner field alone
+			// is not enough: a slot we retired and later reinstalled
+			// still carries our owner field while live, and the process
+			// whose swing retires it next CASes that word concurrently.
+			if !annHelp(w) && idx < uint32(a.slots) && h.hasRetired(idx) {
 				st := a.status + pmem.Addr(idx)
 				sw := p.Read(st)
-				if statusOwner(sw) == h.pid && !statusAnnounced(sw) {
+				if !statusAnnounced(sw) {
 					annList = append(annList, idx)
 					if !p.CAS(st, sw, packStatus(h.pid, true)) {
 						panic("wcas: status mark CAS failed")
@@ -470,4 +475,13 @@ func (h *Handle) recycle(old uint32) uint32 {
 	s := h.free[len(h.free)-1]
 	h.free = h.free[:len(h.free)-1]
 	return s
+}
+
+func (h *Handle) hasRetired(s uint32) bool {
+	for _, r := range h.retired {
+		if r == s {
+			return true
+		}
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package wcas
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -318,6 +319,61 @@ func TestWriteCASRaceAtomicity(t *testing.T) {
 			t.Fatalf("round %d: failed CAS left its value", r)
 		default:
 			t.Fatalf("round %d: impossible value %d (casWon=%v)", r, v, casWon)
+		}
+	}
+}
+
+// TestRecycleScanLeavesForeignSlots pins slot ownership in recycle's
+// hazard scan. Process 0 reinstalls a slot it once retired, so the
+// live slot still carries process 0's owner field; a reader announces
+// it. Process 1 then retires the slot at each step k of a process-0
+// Write whose recycle scans the announcements. The slot is process 1's
+// from then on, so process 1's own scan must keep it off its free list
+// while the reader's announcement stands, and process 0's scan must
+// not have taken it back.
+func TestRecycleScanLeavesForeignSlots(t *testing.T) {
+	const M, P = 2, 3
+	for k := 1; ; k++ {
+		mem := pmem.New(pmem.Config{Words: 1 << 14})
+		q, w, r := mem.NewPort(), mem.NewPort(), mem.NewPort()
+		a := New(mem, q, M, P, func(j int) uint64 { return 0 })
+		hq, hw, hr := a.NewHandle(q, 0), a.NewHandle(w, 1), a.NewHandle(r, 2)
+		var s uint32
+		for {
+			hq.Write(0, 1)
+			s = ptrSlot(q.Read(a.ptr))
+			if statusOwner(q.Read(a.status+pmem.Addr(s))) == 0 {
+				break
+			}
+		}
+		hr.getObjectIdx(0) // the reader's hazard on s, never released
+		for len(hq.free) > 0 {
+			hq.Write(1, 2)
+		}
+		steps, fired := 0, false
+		q.Hook = func() {
+			if steps++; steps == k {
+				fired = true
+				hw.Write(0, 3) // retires s
+			}
+		}
+		hq.Write(1, 2) // its recycle scans: the free list is empty
+		q.Hook = nil
+		if !fired {
+			if k < 10 {
+				t.Fatalf("the scanning Write took only %d steps", k-1)
+			}
+			return
+		}
+		for len(hw.free) > 0 {
+			hw.Write(1, 4)
+		}
+		hw.Write(1, 4) // process 1's scan
+		if hw.freePtr == s || slices.Contains(hw.free, s) {
+			t.Fatalf("k=%d: slot %d is free while process 2 announces it", k, s)
+		}
+		if !slices.Contains(hw.retired, s) {
+			t.Fatalf("k=%d: slot %d left process 1's retired list", k, s)
 		}
 	}
 }
