@@ -165,6 +165,14 @@ func (b *base) free(c *capsule.Ctx, n uint32) {
 	if fh == n {
 		return
 	}
+	// The dequeued node's link still holds the triple of the enqueue
+	// that linked its successor, and that enqueuer may not have
+	// recovered yet: overwrite it through CasAnon, which notifies the
+	// enqueuer first, so its CheckRecovery still finds its success. A
+	// raw write would erase that evidence and make it enqueue again.
+	// CasAnon leaves exactly the link word Free writes below.
+	la := b.link(n)
+	b.Space.CasAnon(p, la, b.Space.ReadFull(p, la), uint64(fh), c.Seq(), pid)
 	link := rcas.Pack(uint64(fh), rcas.Alias(pid, b.P), c.Seq())
 	b.h[pid].pa.Free(p, n, link)
 }

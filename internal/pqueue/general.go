@@ -81,6 +81,11 @@ func (g *General) enqReadPhase(c *capsule.Ctx) {
 	p := c.Mem()
 	t := g.Space.ReadFull(p, g.tail)
 	nx := g.Space.ReadFull(p, g.link(uint32(rcas.Val(t))))
+	if g.Space.ReadFull(p, g.tail) != t {
+		// Stale t: re-validate as Normalized.enqGenerate does.
+		g.enqReadPhase(c)
+		return
+	}
 	c.SetLocal(geT, t)
 	c.SetLocal(geNx, nx)
 	if rcas.Val(nx) == 0 {
@@ -163,6 +168,11 @@ func (g *General) deqReadPhase(c *capsule.Ctx) {
 	h := g.Space.ReadFull(p, g.head)
 	t := g.Space.ReadFull(p, g.tail)
 	nx := g.Space.ReadFull(p, g.link(uint32(rcas.Val(h))))
+	if g.Space.ReadFull(p, g.head) != h {
+		// Stale h: re-validate as Normalized.deqGenerate does.
+		g.deqReadPhase(c)
+		return
+	}
 	if rcas.Val(h) == rcas.Val(t) {
 		if rcas.Val(nx) == 0 {
 			// Empty; linearizes at the read of nx. DoneRO elides the
@@ -174,12 +184,6 @@ func (g *General) deqReadPhase(c *capsule.Ctx) {
 		c.SetLocal(gdT, t)
 		c.SetLocal(gdNx, nx)
 		c.Boundary(gdSwing)
-		return
-	}
-	if rcas.Val(nx) == 0 {
-		// Stale snapshot: h was freed and recycled after we read it
-		// (see Normalized.deqGenerate). Read again.
-		g.deqReadPhase(c)
 		return
 	}
 	v := p.Read(g.Arena.Val(uint32(rcas.Val(nx))))

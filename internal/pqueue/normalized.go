@@ -83,6 +83,13 @@ func (n *Normalized) enqGenerate(c *capsule.Ctx) {
 	for {
 		t := n.Space.ReadFull(p, n.tail)
 		nx := n.Space.ReadFull(p, n.link(uint32(rcas.Val(t))))
+		if n.Space.ReadFull(p, n.tail) != t {
+			// Michael–Scott's tail re-validation: t may have been
+			// dequeued and recycled, so nx may be a free-list link or a
+			// fresh node's null, and a link CAS on it would attach our
+			// node outside the queue.
+			continue
+		}
 		if rcas.Val(nx) != 0 {
 			if n.Durable {
 				p.Flush(n.link(uint32(rcas.Val(t))))
@@ -149,6 +156,13 @@ func (n *Normalized) deqGenerate(c *capsule.Ctx) {
 		h := n.Space.ReadFull(p, n.head)
 		t := n.Space.ReadFull(p, n.tail)
 		nx := n.Space.ReadFull(p, n.link(uint32(rcas.Val(h))))
+		if n.Space.ReadFull(p, n.head) != h {
+			// Michael–Scott's head re-validation: a stale h may have
+			// been freed and recycled, so h == t could report a false
+			// empty and nx could be a reset link (0) or a free-list
+			// link. With head unchanged, h != t implies nx != 0.
+			continue
+		}
 		if rcas.Val(h) == rcas.Val(t) {
 			if rcas.Val(nx) == 0 {
 				// Empty result: linearizes at the read of nx and needs no
@@ -168,12 +182,6 @@ func (n *Normalized) deqGenerate(c *capsule.Ctx) {
 				n.maybeFence(p)
 			}
 			n.Space.CasAnon(p, n.tail, t, rcas.Val(nx), n.anonSeq(c), pid)
-			continue
-		}
-		if rcas.Val(nx) == 0 {
-			// h was dequeued, freed and recycled (its link reset) after
-			// we read it: the snapshot is stale, so read again. Any
-			// other stale nx is harmless, as the head CAS rejects it.
 			continue
 		}
 		v := p.Read(n.Arena.Val(uint32(rcas.Val(nx))))
