@@ -132,10 +132,13 @@ func (n *Normalized) enqExec(c *capsule.Ctx) {
 			p.Flush(link)
 			n.maybeFence(p)
 		}
-		tNow := n.Space.ReadFull(p, n.tail)
-		if rcas.Val(tNow) == rcas.Val(t) {
-			n.Space.CasAnon(p, n.tail, tNow, c.Local(neN), n.anonSeq(c), pid)
-		}
+		// Swing only from the exact triple the generator read. If the
+		// tail has moved, a helper already swung it past t; a tail that
+		// merely names t's index again is a recycled t (this wrap-up
+		// can run long after the link CAS, e.g. after a crash), and
+		// swinging it to our node, which may be dequeued by now, would
+		// leave tail behind head.
+		n.Space.CasAnon(p, n.tail, t, c.Local(neN), n.anonSeq(c), pid)
 		if n.Durable {
 			n.persist(p, n.tail)
 		}
