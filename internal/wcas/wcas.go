@@ -25,6 +25,7 @@ package wcas
 
 import (
 	"fmt"
+	"slices"
 
 	"delayfree/internal/pmem"
 )
@@ -442,7 +443,7 @@ func (h *Handle) recycle(old uint32) uint32 {
 			// is not enough: a slot we retired and later reinstalled
 			// still carries our owner field while live, and the process
 			// whose swing retires it next CASes that word concurrently.
-			if !annHelp(w) && idx < uint32(a.slots) && h.hasRetired(idx) {
+			if !annHelp(w) && idx < uint32(a.slots) && slices.Contains(h.retired, idx) {
 				st := a.status + pmem.Addr(idx)
 				sw := p.Read(st)
 				if !statusAnnounced(sw) {
@@ -475,13 +476,4 @@ func (h *Handle) recycle(old uint32) uint32 {
 	s := h.free[len(h.free)-1]
 	h.free = h.free[:len(h.free)-1]
 	return s
-}
-
-func (h *Handle) hasRetired(s uint32) bool {
-	for _, r := range h.retired {
-		if r == s {
-			return true
-		}
-	}
-	return false
 }
